@@ -8,9 +8,13 @@
 
 use dpmg_bench::{banner, f2, out_dir, quick_mode, verdict};
 use dpmg_core::gshm::GshmParams;
+use dpmg_core::mechanism::{GshmMechanism, ReleaseMechanism};
 use dpmg_eval::experiment::Table;
 use dpmg_noise::accounting::PrivacyParams;
-use dpmg_pipeline::{PipelineConfig, SequentialBaseline, ShardedPipeline, StreamingMechanism};
+use dpmg_pipeline::{PipelineConfig, ShardedPipeline};
+use dpmg_sketch::merge::merge_tree;
+use dpmg_sketch::misra_gries::MisraGries;
+use dpmg_sketch::traits::Summary;
 use dpmg_workload::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,13 +28,43 @@ fn stream_of(n: usize) -> Vec<u64> {
     Zipf::new(1_000_000, 1.1).stream(n, &mut rng)
 }
 
-/// Wall-clock of a full ingest (route → batch → shard workers → join).
-fn time_ingestion<M: StreamingMechanism<u64> + ?Sized>(mech: &mut M, stream: &[u64]) -> f64 {
-    let start = Instant::now();
-    for chunk in stream.chunks(4096) {
-        mech.ingest_batch(chunk).expect("ingest");
+/// The two ingestion strategies under comparison: one sketch fed in
+/// stream order, or the `S`-shard pipeline. Both end in a merge-tree
+/// summary (1-summary for the sequential sketch), so both go through the
+/// same trusted-aggregator release.
+enum Ingestion {
+    Sequential(MisraGries<u64>),
+    Pipeline(ShardedPipeline<u64>),
+}
+
+impl Ingestion {
+    fn ingest(&mut self, stream: &[u64]) {
+        for chunk in stream.chunks(4096) {
+            match self {
+                Ingestion::Sequential(sketch) => sketch.extend_batch(chunk),
+                Ingestion::Pipeline(pipe) => {
+                    pipe.ingest_from(chunk.iter().copied()).expect("ingest")
+                }
+            }
+        }
     }
-    mech.pre_noise_summary().expect("finish");
+
+    /// The pre-noise merged summary (finishing ingestion first).
+    fn merged(&mut self) -> Summary<u64> {
+        match self {
+            Ingestion::Sequential(sketch) => {
+                merge_tree(&[sketch.summary()]).unwrap_or_else(|| Summary::empty(sketch.k()))
+            }
+            Ingestion::Pipeline(pipe) => pipe.merged().expect("finish"),
+        }
+    }
+}
+
+/// Wall-clock of a full ingest (route → batch → shard workers → join).
+fn time_ingestion(mech: &mut Ingestion, stream: &[u64]) -> f64 {
+    let start = Instant::now();
+    mech.ingest(stream);
+    mech.merged();
     start.elapsed().as_secs_f64()
 }
 
@@ -52,7 +86,7 @@ fn main() {
         "E17a ingestion throughput (timing; machine-dependent)",
         &["mechanism", "ms", "Mitems/s", "speedup vs 1 shard"],
     );
-    let mut base = SequentialBaseline::new(k).unwrap();
+    let mut base = Ingestion::Sequential(MisraGries::new(k).unwrap());
     let seq_secs = time_ingestion(&mut base, &stream);
     t1.row(&[
         "sequential".into(),
@@ -64,7 +98,7 @@ fn main() {
     let mut speedup8 = f64::NAN;
     for shards in SHARD_COUNTS {
         let config = PipelineConfig::new(shards, k).with_batch_size(4096);
-        let mut pipe = ShardedPipeline::new(config).unwrap();
+        let mut pipe = Ingestion::Pipeline(ShardedPipeline::new(config).unwrap());
         let secs = time_ingestion(&mut pipe, &stream);
         if shards == 1 {
             one_shard_secs = secs;
@@ -93,7 +127,7 @@ fn main() {
     // Part 2: released-histogram accuracy vs shard count (deterministic:
     // fixed data seed, fixed release seed per row).
     let k_acc = 64usize;
-    let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let mechanism = GshmMechanism::new(PrivacyParams::new(0.9, 1e-8).unwrap()).unwrap();
     let gshm = GshmParams::calibrate(0.9, 1e-8, k_acc).unwrap();
     // The sequential baseline's analytic error bound: Fact 7 sketch
     // underestimate + GSHM threshold/noise envelope. Corollary 18 promises
@@ -112,18 +146,20 @@ fn main() {
         &["mechanism", "max err", "seq analytic bound", "within"],
     );
     let mut accuracy_ok = true;
-    let max_err_of = |mech: &mut dyn StreamingMechanism<u64>, seed: u64| -> f64 {
-        for chunk in stream.chunks(4096) {
-            mech.ingest_batch(chunk).expect("ingest");
-        }
+    let max_err_of = |mut mech: Ingestion, seed: u64| -> f64 {
+        mech.ingest(&stream);
         let mut rng = StdRng::seed_from_u64(seed);
-        let hist = mech.release(params, &mut rng).expect("release");
+        let hist = mechanism
+            .release(&mech.merged(), &mut rng)
+            .expect("release");
         top.iter()
             .map(|&(key, f)| (hist.estimate(&key) - f as f64).abs())
             .fold(0.0, f64::max)
     };
-    let mut base = SequentialBaseline::new(k_acc).unwrap();
-    let err = max_err_of(&mut base, 0xACC0);
+    let err = max_err_of(
+        Ingestion::Sequential(MisraGries::new(k_acc).unwrap()),
+        0xACC0,
+    );
     accuracy_ok &= err <= bound;
     t2.row(&[
         "sequential".into(),
@@ -132,8 +168,8 @@ fn main() {
         (err <= bound).to_string(),
     ]);
     for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
-        let mut pipe = ShardedPipeline::new(PipelineConfig::new(shards, k_acc)).unwrap();
-        let err = max_err_of(&mut pipe, 0xACC1 + i as u64);
+        let pipe = ShardedPipeline::new(PipelineConfig::new(shards, k_acc)).unwrap();
+        let err = max_err_of(Ingestion::Pipeline(pipe), 0xACC1 + i as u64);
         accuracy_ok &= err <= bound;
         t2.row(&[
             format!("pipeline-{shards}"),

@@ -12,8 +12,8 @@
 //! 2. **Windowed serving tracks churn** — a `ServiceMode::Windowed`
 //!    service over a key-churn stream answers with the *current* window's
 //!    heads, while the cumulative Independent view keeps serving stale
-//!    ones; and the windowed releases are bit-identical across
-//!    `Handoff::{Ring, Mpsc}` and the sequential reference.
+//!    ones; and the windowed releases are bit-identical to the
+//!    sequential reference.
 //! 3. **Per-window privacy** — an `eval::audit` over neighbouring streams
 //!    estimates `ε̂` of one window release at or below the advertised
 //!    per-window `ε_w` (the base case of the `(W·ε_w, W·δ_w)` composition
@@ -130,11 +130,11 @@ struct ChurnOutcome {
     windowed_recall: f64,
     cumulative_reported: usize,
     cumulative_stale: usize,
-    handoffs_identical: bool,
+    bit_identical: bool,
 }
 
 /// Part 2: windowed vs cumulative serving over key churn, plus the
-/// Ring/Mpsc/reference bit-identity check. "Stale" keys are the
+/// service/reference bit-identity check. "Stale" keys are the
 /// pre-churn head block — a trending-topics service must not keep
 /// serving them after the window slides past the rotation.
 fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
@@ -155,10 +155,7 @@ fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
         .with_batch_size(509)
         .with_mode(ServiceMode::Windowed { window_epochs: 2 });
 
-    let mut ring =
-        DpmgService::new(windowed_cfg.with_handoff(Handoff::Ring), mech(), budget, 7).unwrap();
-    let mut mpsc =
-        DpmgService::new(windowed_cfg.with_handoff(Handoff::Mpsc), mech(), budget, 7).unwrap();
+    let mut windowed = DpmgService::new(windowed_cfg, mech(), budget, 7).unwrap();
     let mut oracle = SequentialServiceReference::new(windowed_cfg, mech(), budget, 7).unwrap();
     let mut cumulative = DpmgService::new(
         ServiceConfig::new(4, 32).with_batch_size(509),
@@ -170,7 +167,7 @@ fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
 
     let mut identical = true;
     for (i, epoch) in stream.chunks(per_epoch).enumerate() {
-        for svc in [&mut ring, &mut mpsc, &mut cumulative] {
+        for svc in [&mut windowed, &mut cumulative] {
             svc.ingest_from(epoch.iter().copied()).unwrap();
             svc.end_epoch().unwrap();
         }
@@ -179,14 +176,9 @@ fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
         let bits = |svc_hist: &PrivateHistogram<u64>| -> Vec<(u64, u64)> {
             svc_hist.iter().map(|(&k, v)| (k, v.to_bits())).collect()
         };
-        let (r, m, o) = (
-            &ring.transcript()[i],
-            &mpsc.transcript()[i],
-            &oracle.transcript()[i],
-        );
-        identical &= r.pre_noise == o.pre_noise && m.pre_noise == o.pre_noise;
-        identical &= bits(&r.histogram) == bits(&o.histogram);
-        identical &= bits(&m.histogram) == bits(&o.histogram);
+        let (w, o) = (&windowed.transcript()[i], &oracle.transcript()[i]);
+        identical &= w.pre_noise == o.pre_noise;
+        identical &= bits(&w.histogram) == bits(&o.histogram);
     }
 
     // Score both serving modes against the *current window's* truth
@@ -207,7 +199,7 @@ fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
             .collect()
     };
     let stale_in = |keys: &[u64]| keys.iter().filter(|&&k| (1..=20).contains(&k)).count();
-    let windowed_keys = reported_of(ring.top_k(usize::MAX));
+    let windowed_keys = reported_of(windowed.top_k(usize::MAX));
     let cumulative_keys = reported_of(cumulative.top_k(usize::MAX));
     ChurnOutcome {
         windowed_reported: windowed_keys.len(),
@@ -215,7 +207,7 @@ fn windowed_churn(per_epoch: usize) -> ChurnOutcome {
         windowed_recall: hh_quality(&windowed_keys, &truth, t).recall,
         cumulative_reported: cumulative_keys.len(),
         cumulative_stale: stale_in(&cumulative_keys),
-        handoffs_identical: identical,
+        bit_identical: identical,
     }
 }
 
@@ -314,7 +306,7 @@ fn write_bench_json(
         churn.windowed_recall,
         churn.cumulative_reported,
         churn.cumulative_stale,
-        churn.handoffs_identical,
+        churn.bit_identical,
     ));
     json.push_str(&format!("  \"window_audit_eps_hat\": {eps_hat:.4},\n"));
     json.push_str(&format!(
@@ -409,8 +401,8 @@ fn main() {
     ]);
     t2.emit(&out_dir()).unwrap();
     verdict(
-        "windowed releases bit-identical across Ring/Mpsc and the sequential reference",
-        churn.handoffs_identical,
+        "windowed releases bit-identical to the sequential reference",
+        churn.bit_identical,
     );
     verdict(
         "windowed serving drops the stale heads the cumulative view keeps reporting",

@@ -1421,6 +1421,28 @@ mod tests {
     }
 
     #[test]
+    fn merged_metered_release_enforces_budget_across_releases() {
+        // Repeated releases of one merged summary compose sequentially:
+        // a budget worth exactly two releases admits two and refuses the
+        // third uncharged.
+        let params = PrivacyParams::new(0.5, 1e-8).unwrap();
+        let mechanism = MergedLaplaceMechanism::new(params).unwrap();
+        let mut acct = Accountant::new(PrivacyParams::new(1.0, 1e-6).unwrap());
+        let shards = [
+            Summary::from_entries(16, (0..3u64).map(|x| (x, 900))),
+            Summary::from_entries(16, (0..3u64).map(|x| (x, 800))),
+        ];
+        let merged = dpmg_sketch::merge::merge_tree(&shards).unwrap();
+        let mut rng = StdRng::seed_from_u64(17);
+        release_merged_metered(&mechanism, &merged, &mut acct, &mut rng).unwrap();
+        release_merged_metered(&mechanism, &merged, &mut acct, &mut rng).unwrap();
+        let err = release_merged_metered(&mechanism, &merged, &mut acct, &mut rng).unwrap_err();
+        assert!(matches!(err, ReleaseError::Budget(_)), "{err}");
+        assert_eq!(acct.charges(), 2);
+        assert!(acct.remaining_epsilon() < 1e-9);
+    }
+
+    #[test]
     fn registry_rejects_pure_spec_params() {
         let spec = MechanismSpec::new(PrivacyParams::pure(1.0).unwrap());
         assert!(registry(&spec).is_err());

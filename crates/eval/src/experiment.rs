@@ -1,9 +1,10 @@
 //! Experiment infrastructure: result tables and a parallel trial runner.
 
-use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A result table with aligned text rendering and CSV export — the output
 /// format of every experiment binary (DESIGN.md §3).
@@ -183,32 +184,35 @@ pub fn stats(samples: &[f64]) -> Stats {
 /// each trial a distinct deterministic seed derived from `base_seed`.
 /// Results are returned in trial order, so the whole computation is
 /// reproducible regardless of scheduling.
+///
+/// # Panics
+///
+/// Re-raises a panic from any trial.
 pub fn parallel_trials<F>(trials: usize, base_seed: u64, f: F) -> Vec<f64>
 where
     F: Fn(u64) -> f64 + Sync,
 {
     let results = Mutex::new(vec![0.0f64; trials]);
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(trials.max(1));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= trials {
                     break;
                 }
                 let value = f(base_seed
                     .wrapping_add(i as u64)
                     .wrapping_mul(0x9e3779b97f4a7c15));
-                results.lock()[i] = value;
+                results.lock().expect("trial worker panicked")[i] = value;
             });
         }
-    })
-    .expect("trial worker panicked");
-    results.into_inner()
+    });
+    results.into_inner().expect("trial worker panicked")
 }
 
 #[cfg(test)]

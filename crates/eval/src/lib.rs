@@ -6,7 +6,7 @@
 //!
 //! * [`metrics`] — maximum error, MSE, error quantiles, and heavy-hitter
 //!   precision/recall/F1 against exact ground truth.
-//! * [`experiment`] — aligned-text + CSV table writer and a crossbeam-based
+//! * [`experiment`] — aligned-text + CSV table writer and a scoped-thread
 //!   parallel trial runner (each trial gets an independent seeded RNG, so
 //!   experiments stay reproducible).
 //! * [`plot`] — dependency-free ASCII charts so growth orders (linear vs

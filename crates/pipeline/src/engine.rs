@@ -1,16 +1,10 @@
 //! The sharded ingestion engine.
 
-use crate::affinity;
-use crate::config::{Handoff, PipelineConfig, PipelineError, Routing};
+use crate::config::{PipelineConfig, PipelineError, Routing};
 use crate::ring;
-use crossbeam::channel;
-use dpmg_core::mechanism::ReleaseMechanism;
-use dpmg_core::pmg::PrivateHistogram;
-use dpmg_noise::accounting::PrivacyParams;
 use dpmg_sketch::merge::{merge, merge_tree};
 use dpmg_sketch::misra_gries::MisraGries;
 use dpmg_sketch::traits::{Item, Summary};
-use rand::{Rng, RngCore};
 use std::hash::{Hash, Hasher};
 use std::thread::JoinHandle;
 
@@ -67,44 +61,28 @@ pub fn shard_of_key<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Router-side endpoints of one shard's handoff: a forward path carrying
-/// filled batch blocks to the worker and a return path yielding the spent
-/// (cleared, capacity kept) blocks back for reuse, so both handoff
-/// implementations recycle instead of allocating per batch. Dropping a
-/// link disconnects the forward path, which ends the worker's drain loop.
-enum ShardLink<K> {
-    /// Bounded SPSC block rings ([`Handoff::Ring`], the default).
-    Ring {
-        tx: ring::RingSender<Vec<K>>,
-        spare: ring::RingReceiver<Vec<K>>,
-    },
-    /// The legacy mpsc-backed channels ([`Handoff::Mpsc`]): bounded
-    /// forward channel, unbounded return channel as the block free-list.
-    Mpsc {
-        tx: channel::Sender<Vec<K>>,
-        spare: channel::Receiver<Vec<K>>,
-    },
+/// Router-side endpoints of one shard's handoff: a bounded SPSC block
+/// [`ring`] carrying filled batch blocks to the worker and a return ring
+/// yielding the spent (cleared, capacity kept) blocks back for reuse, so
+/// steady-state ingestion allocates nothing. Dropping a link disconnects
+/// the forward ring, which ends the worker's drain loop.
+struct ShardLink<K> {
+    tx: ring::RingSender<Vec<K>>,
+    spare: ring::RingReceiver<Vec<K>>,
 }
 
 impl<K> ShardLink<K> {
     /// Sends a filled block to the worker, blocking on backpressure;
     /// returns `Err` iff the worker is gone (panicked).
     fn send(&mut self, block: Vec<K>) -> Result<(), ()> {
-        match self {
-            ShardLink::Ring { tx, .. } => tx.send(block).map_err(|_| ()),
-            ShardLink::Mpsc { tx, .. } => tx.send(block).map_err(|_| ()),
-        }
+        self.tx.send(block).map_err(|_| ())
     }
 
-    /// A block ready for filling: a recycled one off the return path when
+    /// A block ready for filling: a recycled one off the return ring when
     /// available (the steady state — no allocation), else a fresh
     /// allocation (cold start, or a worker that died with blocks in hand).
     fn recycled(&mut self, min_capacity: usize) -> Vec<K> {
-        let spare = match self {
-            ShardLink::Ring { spare, .. } => spare.try_recv().ok(),
-            ShardLink::Mpsc { spare, .. } => spare.try_recv().ok(),
-        };
-        match spare {
+        match self.spare.try_recv().ok() {
             Some(block) => {
                 debug_assert!(block.is_empty(), "workers return cleared blocks");
                 block
@@ -131,8 +109,8 @@ pub struct PipelineStats {
 /// architecture and the privacy argument.
 ///
 /// The end state of the pipeline is a deterministic function of the
-/// ingested stream and the configuration — routing is content/position
-/// based, each worker applies its batches in send order, and the merge
+/// ingested stream and the configuration — routing is a fixed function of
+/// the key, each worker applies its batches in send order, and the merge
 /// tree shape is fixed — so results are reproducible regardless of thread
 /// scheduling.
 pub struct ShardedPipeline<K: Item + Send + 'static> {
@@ -140,7 +118,6 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     buffers: Vec<Vec<K>>,
     links: Vec<ShardLink<K>>,
     workers: Vec<JoinHandle<MisraGries<K>>>,
-    rr_cursor: usize,
     items: u64,
     batches: u64,
     shard_lens: Vec<u64>,
@@ -151,12 +128,12 @@ pub struct ShardedPipeline<K: Item + Send + 'static> {
     /// one summary and folded into [`Self::merged`]). `None` between
     /// epochs and after every rotation.
     carry: Option<Summary<K>>,
-    /// First shard whose worker panicked; once set, every finish/summary/
-    /// release call keeps failing instead of serving partial results.
+    /// First shard whose worker panicked; once set, every finish/summary
+    /// call keeps failing instead of serving partial results.
     poisoned: Option<usize>,
 }
 
-/// Handoff links + worker handles of one generation of shard workers.
+/// Ring links + worker handles of one generation of shard workers.
 type ShardWorkers<K> = (Vec<ShardLink<K>>, Vec<JoinHandle<MisraGries<K>>>);
 
 impl<K: Item + Send + 'static> ShardedPipeline<K> {
@@ -177,58 +154,29 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         debug_assert_eq!(sketches.len(), config.shards);
         let mut links = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
-        let pin = config.pin_workers;
         for (shard, mut sketch) in sketches.into_iter().enumerate() {
-            let builder = std::thread::Builder::new().name(format!("dpmg-shard-{shard}"));
-            let handle = match config.handoff {
-                Handoff::Ring => {
-                    let (tx, mut rx) = ring::bounded::<Vec<K>>(config.channel_capacity);
-                    // Return-ring sizing: per shard at most `capacity + 3`
-                    // blocks ever circulate (the router mints one only
-                    // when the return ring is empty at dispatch, and at
-                    // that moment the buffer, forward ring and worker
-                    // hold ≤ capacity + 2 of them), so with the worker
-                    // holding one and the router's buffer another, return
-                    // occupancy never exceeds `capacity + 2`: the
-                    // worker's give-back below can never block.
-                    let (mut ret_tx, spare) = ring::bounded::<Vec<K>>(config.channel_capacity + 2);
-                    let handle = builder
-                        .spawn(move || {
-                            if pin {
-                                affinity::pin_current_thread(shard);
-                            }
-                            while let Ok(mut block) = rx.recv() {
-                                sketch.extend_batch(&block);
-                                block.clear();
-                                // Router gone (teardown): recycling moot.
-                                let _ = ret_tx.send(block);
-                            }
-                            sketch
-                        })
-                        .expect("spawn shard worker thread");
-                    links.push(ShardLink::Ring { tx, spare });
-                    handle
-                }
-                Handoff::Mpsc => {
-                    let (tx, rx) = channel::bounded::<Vec<K>>(config.channel_capacity);
-                    let (ret_tx, spare) = channel::unbounded::<Vec<K>>();
-                    let handle = builder
-                        .spawn(move || {
-                            if pin {
-                                affinity::pin_current_thread(shard);
-                            }
-                            for mut block in rx {
-                                sketch.extend_batch(&block);
-                                block.clear();
-                                let _ = ret_tx.send(block);
-                            }
-                            sketch
-                        })
-                        .expect("spawn shard worker thread");
-                    links.push(ShardLink::Mpsc { tx, spare });
-                    handle
-                }
-            };
+            let (tx, mut rx) = ring::bounded::<Vec<K>>(config.channel_capacity);
+            // Return-ring sizing: per shard at most `capacity + 3` blocks
+            // ever circulate (the router mints one only when the return
+            // ring is empty at dispatch, and at that moment the buffer,
+            // forward ring and worker hold ≤ capacity + 2 of them), so with
+            // the worker holding one and the router's buffer another,
+            // return occupancy never exceeds `capacity + 2`: the worker's
+            // give-back below can never block.
+            let (mut ret_tx, spare) = ring::bounded::<Vec<K>>(config.channel_capacity + 2);
+            let handle = std::thread::Builder::new()
+                .name(format!("dpmg-shard-{shard}"))
+                .spawn(move || {
+                    while let Ok(mut block) = rx.recv() {
+                        sketch.extend_batch(&block);
+                        block.clear();
+                        // Router gone (teardown): recycling moot.
+                        let _ = ret_tx.send(block);
+                    }
+                    sketch
+                })
+                .expect("spawn shard worker thread");
+            links.push(ShardLink { tx, spare });
             workers.push(handle);
         }
         (links, workers)
@@ -247,7 +195,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
             links,
             workers,
-            rr_cursor: 0,
             items: 0,
             batches: 0,
             shard_lens: Vec::new(),
@@ -293,7 +240,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
             buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
             links,
             workers,
-            rr_cursor: 0,
             items,
             batches: 0,
             shard_lens: Vec::new(),
@@ -318,7 +264,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         }
     }
 
-    fn route(&mut self, item: &K) -> Result<usize, PipelineError> {
+    fn route(&self, item: &K) -> Result<usize, PipelineError> {
         match self.config.routing {
             Routing::HashKey => Ok(shard_of_key(item, self.config.shards)),
             Routing::HashKeyRange {
@@ -336,16 +282,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
                     return Err(PipelineError::ForeignShardKey { global_shard });
                 }
                 Ok(local)
-            }
-            Routing::RoundRobin => {
-                let shard = self.rr_cursor;
-                // Wrap on compare — a predictable branch instead of an
-                // integer division on the per-item path.
-                self.rr_cursor += 1;
-                if self.rr_cursor == self.config.shards {
-                    self.rr_cursor = 0;
-                }
-                Ok(shard)
             }
         }
     }
@@ -414,7 +350,7 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// caches the per-shard summaries. Idempotent on success; after a
     /// worker panic the pipeline is poisoned and every further call keeps
     /// returning the error rather than serving partial results. Called
-    /// implicitly by the summary/release accessors.
+    /// implicitly by the summary accessors.
     ///
     /// # Errors
     ///
@@ -445,8 +381,10 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
     /// The pre-noise merged summary: binary merge tree over the shard
     /// summaries (finishing ingestion first), folded with the
     /// [`Self::reshard`] carry when the epoch was live-resharded. This is
-    /// NOT private — it is the quantity the Lemma 17 / Corollary 18
-    /// invariant tests inspect.
+    /// NOT private — it is the input of the single trusted DP release,
+    /// which callers perform through `dpmg-core`'s
+    /// `release_merged_metered` (Corollary 18 calibrates that release for
+    /// any merge-tree shape).
     ///
     /// # Errors
     ///
@@ -470,40 +408,14 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         self.carry.as_ref()
     }
 
-    /// Performs the single `(ε, δ)`-DP release of the merge-tree summary
-    /// with the configured [`ReleaseKind`], resolved through the
-    /// `dpmg-core` mechanism registry ([`ReleaseKind::mechanism`]);
-    /// [`Self::merged`] is exactly the pre-noise input of this release.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::NonPrivateRouting`] under [`Routing::RoundRobin`]
-    /// (the sensitivity argument requires key-based routing; see the crate
-    /// docs — both key-hash policies qualify), plus any error from
-    /// [`Self::finish`] or the mechanism layer.
-    pub fn release<R: Rng + ?Sized>(
-        &mut self,
-        params: PrivacyParams,
-        rng: &mut R,
-    ) -> Result<PrivateHistogram<K>, PipelineError> {
-        if !self.config.routing.is_content_based() {
-            return Err(PipelineError::NonPrivateRouting);
-        }
-        let merged = self.merged()?;
-        let mechanism = self.config.release.mechanism::<K>(params)?;
-        let mut rng = rng;
-        let hist = mechanism.release(&merged, &mut rng as &mut dyn RngCore)?;
-        Ok(hist)
-    }
-
     /// The epoch hook: finishes the in-flight epoch (flush, join, merge),
     /// returns its pre-noise merged summary together with the epoch's
     /// ingestion counters, and respawns fresh workers with empty sketches so
     /// ingestion of the next epoch can continue immediately.
     ///
     /// The returned summary is NOT private — it is the release input the
-    /// epoch's DP mechanism will noise (`dpmg-service` routes it through the
-    /// mechanism registry). Counters restart at zero for the new epoch, so
+    /// epoch's DP mechanism will noise (`dpmg-service` routes it through
+    /// `dpmg-core`). Counters restart at zero for the new epoch, so
     /// [`Self::stats`] is always per-epoch after the first rotation.
     ///
     /// # Errors
@@ -517,7 +429,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         self.links = links;
         self.workers = workers;
         self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
-        self.rr_cursor = 0;
         self.items = 0;
         self.batches = 0;
         self.shard_lens = Vec::new();
@@ -578,7 +489,6 @@ impl<K: Item + Send + 'static> ShardedPipeline<K> {
         self.links = links;
         self.workers = workers;
         self.buffers = vec![Vec::with_capacity(self.config.batch_size); self.config.shards];
-        self.rr_cursor = 0;
         self.shard_lens = Vec::new();
         Ok(())
     }
@@ -655,7 +565,18 @@ impl<K: Item + Send + 'static> Drop for ShardedPipeline<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
+    use dpmg_noise::accounting::{Accountant, PrivacyParams};
     use rand::SeedableRng;
+
+    /// Releases `merged` once through the trusted-aggregator path.
+    fn release_once(merged: &Summary<u64>, seed: u64) -> bool {
+        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+        let mechanism = GshmMechanism::new(params).unwrap();
+        let mut accountant = Accountant::new(params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        release_merged_metered(&mechanism, merged, &mut accountant, &mut rng).is_ok()
+    }
 
     #[test]
     fn shard_of_key_is_stable_and_in_range() {
@@ -704,22 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_refuses_release() {
-        let config = PipelineConfig::new(2, 8).with_routing(Routing::RoundRobin);
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        pipe.ingest_from(0..100u64).unwrap();
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        assert!(matches!(
-            pipe.release(params, &mut rng),
-            Err(PipelineError::NonPrivateRouting)
-        ));
-        // The non-private summaries remain available.
-        pipe.finish().unwrap();
-        assert_eq!(pipe.stats().shard_stream_lens.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
     fn rotate_epoch_resets_state_and_matches_per_epoch_reference() {
         let mut pipe =
             ShardedPipeline::<u64>::new(PipelineConfig::new(3, 8).with_batch_size(7)).unwrap();
@@ -744,10 +649,8 @@ mod tests {
         assert_eq!(merged2, fresh2.merged().unwrap());
 
         // The rotated pipeline is still fully usable, including release.
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         pipe.ingest_from(std::iter::repeat_n(7u64, 1000)).unwrap();
-        assert!(pipe.release(params, &mut rng).is_ok());
+        assert!(release_once(&pipe.merged().unwrap(), 2));
     }
 
     #[test]
@@ -917,10 +820,9 @@ mod tests {
             }
         }
         assert!(ingested > 0 && rejected > 0);
-        // Key-hash range routing is content-based: release is permitted.
-        let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        assert!(pipe.release(params, &mut rng).is_ok());
+        // Key-hash range routing is content-based, so the merged summary
+        // goes through the merged release path like any other.
+        assert!(release_once(&pipe.merged().unwrap(), 5));
     }
 
     #[test]
@@ -944,16 +846,5 @@ mod tests {
             first_shard: 0,
         });
         assert!(ShardedPipeline::<u64>::new(config).is_ok());
-    }
-
-    #[test]
-    fn round_robin_splits_by_position() {
-        let config = PipelineConfig::new(4, 8)
-            .with_routing(Routing::RoundRobin)
-            .with_batch_size(3);
-        let mut pipe = ShardedPipeline::<u64>::new(config).unwrap();
-        pipe.ingest_from(std::iter::repeat_n(7u64, 103)).unwrap();
-        pipe.finish().unwrap();
-        assert_eq!(pipe.stats().shard_stream_lens, vec![26, 26, 26, 25]);
     }
 }

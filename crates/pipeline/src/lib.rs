@@ -1,12 +1,12 @@
-//! Sharded streaming ingestion with one trusted differentially private
-//! release — the production deployment of the paper's Section 7.
+//! Sharded streaming ingestion producing the merged Misra-Gries summary
+//! that the paper's Section 7 releases once, through a trusted aggregator.
 //!
 //! # Architecture
 //!
 //! ```text
 //!                    ┌── SPSC block ring ⇄ ──▶ shard worker 0: MisraGries(k) ─┐
-//! producer ─ router ─┼── SPSC block ring ⇄ ──▶ shard worker 1: MisraGries(k) ─┼─▶ merge tree ─▶ one DP release
-//!  (batches)         └── SPSC block ring ⇄ ──▶ shard worker S−1 …            ─┘   (sketch::merge)   (core::merged)
+//! producer ─ router ─┼── SPSC block ring ⇄ ──▶ shard worker 1: MisraGries(k) ─┼─▶ merge tree ─▶ merged summary
+//!  (batches)         └── SPSC block ring ⇄ ──▶ shard worker S−1 …            ─┘   (sketch::merge)
 //! ```
 //!
 //! [`ShardedPipeline`] routes each item to one of `S` shard workers by a
@@ -15,14 +15,16 @@
 //! [`MisraGries::extend_batch`](dpmg_sketch::misra_gries::MisraGries::extend_batch)
 //! hot path. Batch blocks travel over a bounded SPSC block [`ring`] per
 //! shard, paired with a return ring (the `⇄`) that recycles spent blocks,
-//! so steady-state ingestion allocates nothing; [`Handoff::Mpsc`] selects
-//! the legacy `std::sync::mpsc`-backed channels (with their own free-list
-//! recycling) as the differential-testing reference. When ingestion finishes, the per-shard summaries are combined
-//! with the binary merge tree of
-//! [`sketch::merge`](dpmg_sketch::merge::merge_tree) and released **once**
-//! through the trusted-aggregator mechanisms of
-//! [`core::merged`](dpmg_core::merged) — by default the Gaussian Sparse
-//! Histogram Mechanism the paper recommends at the end of Section 7.
+//! so steady-state ingestion allocates nothing. When ingestion finishes,
+//! the per-shard summaries are combined with the binary merge tree of
+//! [`sketch::merge`](dpmg_sketch::merge::merge_tree) into
+//! [`ShardedPipeline::merged`].
+//!
+//! The pipeline never adds noise. The merged summary is pre-noise data;
+//! its one DP release belongs to the caller and goes through
+//! `dpmg-core`'s `release_merged_metered`, which refuses any mechanism not
+//! calibrated for the Corollary 18 neighbour structure. The epoch service
+//! and the aggregation fleet are the two callers that do this.
 //!
 //! # Why the sharded release is private (Section 7)
 //!
@@ -47,42 +49,34 @@
 //!   most `M/(k+1)` where `M` is the *total* stream length, so sharding
 //!   costs nothing in the sketch error bound either.
 //!
-//! [`Routing::RoundRobin`] deliberately breaks the premise of this argument
-//! (removing one element shifts the shard assignment of every later item),
-//! so [`ShardedPipeline::release`] refuses to run under it; it exists for
-//! non-private throughput studies only.
-//!
-//! # Comparing ingestion strategies
-//!
-//! The [`StreamingMechanism`] trait gives the experiment binaries
-//! (`exp_e17_pipeline`) and benches a common surface over the pipeline and
-//! the single-threaded [`SequentialBaseline`], which uses the *same* sketch
-//! size and release mechanism so error comparisons isolate the effect of
-//! sharding.
+//! Both [`Routing`] policies are fixed functions of the key, so the
+//! argument holds for every pipeline configuration.
 //!
 //! ```
+//! use dpmg_core::mechanism::{release_merged_metered, GshmMechanism};
+//! use dpmg_noise::accounting::{Accountant, PrivacyParams};
 //! use dpmg_pipeline::{PipelineConfig, ShardedPipeline};
-//! use dpmg_noise::accounting::PrivacyParams;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut pipe = ShardedPipeline::new(PipelineConfig::new(4, 64)).unwrap();
 //! pipe.ingest_from((0..10_000u64).map(|i| if i % 2 == 0 { 7 } else { i })).unwrap();
-//! let mut rng = StdRng::seed_from_u64(42);
+//! let merged = pipe.merged().unwrap();
+//!
 //! let params = PrivacyParams::new(0.9, 1e-8).unwrap();
-//! let released = pipe.release(params, &mut rng).unwrap();
+//! let mut accountant = Accountant::new(params);
+//! let mut rng = StdRng::seed_from_u64(42);
+//! let mechanism = GshmMechanism::new(params).unwrap();
+//! let released = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
 //! assert!(released.estimate(&7) > 3_000.0);
 //! ```
 
 #![forbid(unsafe_code)]
 
-pub mod affinity;
 pub mod config;
 pub mod engine;
-pub mod mechanism;
+pub mod reference;
 pub mod ring;
 
-pub use config::{Handoff, PipelineConfig, PipelineError, ReleaseKind, Routing};
+pub use config::{PipelineConfig, PipelineError, Routing};
 pub use engine::{shard_of_key, PipelineStats, ShardedPipeline};
-pub use mechanism::{
-    sequential_sharded_reference, PrivatizedPipeline, SequentialBaseline, StreamingMechanism,
-};
+pub use reference::sequential_sharded_reference;

@@ -3,12 +3,14 @@
 //! per-shard summaries, identical merged summary — for every stream,
 //! shard count, and batch size.
 
-use dpmg_noise::accounting::PrivacyParams;
-use dpmg_pipeline::{
-    sequential_sharded_reference, shard_of_key, PipelineConfig, SequentialBaseline,
-    ShardedPipeline, StreamingMechanism,
+use dpmg_core::mechanism::{
+    registry, release_merged_metered, release_metered, GshmMechanism, MechanismSpec, ReleaseError,
+    SensitivityModel,
 };
+use dpmg_noise::accounting::{Accountant, PrivacyParams};
+use dpmg_pipeline::{sequential_sharded_reference, shard_of_key, PipelineConfig, ShardedPipeline};
 use dpmg_sketch::merge::merged_error_bound;
+use dpmg_sketch::misra_gries::MisraGries;
 use dpmg_workload::zipf::Zipf;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -73,11 +75,14 @@ fn release_recovers_heavy_hitters_across_shard_counts() {
         stream.push(if i % 3 == 0 { 1 + i % 2 } else { 100 + i % 700 });
     }
     let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let mechanism = GshmMechanism::new(params).unwrap();
     for shards in [1usize, 2, 8] {
         let mut pipe = ShardedPipeline::new(PipelineConfig::new(shards, 128)).unwrap();
         pipe.ingest_from(stream.iter().copied()).unwrap();
+        let merged = pipe.merged().unwrap();
+        let mut accountant = Accountant::new(params);
         let mut rng = StdRng::seed_from_u64(23);
-        let hist = pipe.release(params, &mut rng).unwrap();
+        let hist = release_merged_metered(&mechanism, &merged, &mut accountant, &mut rng).unwrap();
         for key in [1u64, 2] {
             // 5_000 occurrences each; merged error ≤ 30_000/129 ≈ 232.
             assert!(
@@ -95,13 +100,93 @@ fn pipeline_and_sequential_baseline_agree_on_single_shard_merged() {
     let stream: Vec<u64> = (0..10_000u64).map(|i| i % 101).collect();
     let mut pipe = ShardedPipeline::new(PipelineConfig::new(1, 32)).unwrap();
     pipe.ingest_from(stream.iter().copied()).unwrap();
-    let mut base = SequentialBaseline::new(32).unwrap();
-    base.ingest_batch(&stream).unwrap();
+    let mut base = MisraGries::new(32).unwrap();
+    base.extend_batch(&stream);
     // The merge canonicalizes zero-count keys away (Section 7 treats them
     // as absent), so compare positive supports.
-    let mut base_summary = base.pre_noise_summary().unwrap();
+    let mut base_summary = base.summary();
     base_summary.entries.retain(|_, c| *c > 0);
-    assert_eq!(pipe.pre_noise_summary().unwrap(), base_summary);
+    assert_eq!(pipe.merged().unwrap(), base_summary);
+}
+
+/// A stream with one heavy key (5, half the stream) over a light tail.
+fn heavy_key_stream() -> Vec<u64> {
+    (0..30_000u64)
+        .map(|i| if i % 2 == 0 { 5 } else { 100 + i % 300 })
+        .collect()
+}
+
+#[test]
+fn single_shard_summary_releases_through_every_registry_mechanism() {
+    // With shards = 1 the pipeline's output is an ordinary single-sketch
+    // summary, so every registry mechanism's own calibration applies and
+    // the plain metered release serves it.
+    let stream = heavy_key_stream();
+    let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let budget = PrivacyParams::new(20.0, 1e-4).unwrap();
+    let mut pipe = ShardedPipeline::new(PipelineConfig::new(1, 64).with_batch_size(512)).unwrap();
+    pipe.ingest_from(stream.iter().copied()).unwrap();
+    let summary = pipe.merged().unwrap();
+    for mechanism in registry(&MechanismSpec::new(params)).unwrap() {
+        let name = mechanism.name();
+        let mut accountant = Accountant::new(budget);
+        let mut rng = StdRng::seed_from_u64(3);
+        let hist =
+            release_metered(mechanism.as_ref(), &summary, &mut accountant, &mut rng).unwrap();
+        assert!(
+            hist.estimate(&5) > 10_000.0,
+            "{name}: {}",
+            hist.estimate(&5)
+        );
+        assert_eq!(accountant.charges(), 1, "{name}");
+        assert!(
+            (accountant.spent().unwrap().epsilon() - 0.9).abs() < 1e-12,
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn multi_shard_merged_release_refuses_unsound_mechanisms() {
+    // A 4-shard merged summary has the Corollary 18 neighbour structure;
+    // only MergedOneSided-calibrated mechanisms may release it. Everything
+    // else is refused BEFORE noise is drawn or budget spent.
+    let stream = heavy_key_stream();
+    let params = PrivacyParams::new(0.9, 1e-8).unwrap();
+    let budget = PrivacyParams::new(20.0, 1e-4).unwrap();
+    let spec = MechanismSpec::new(params);
+    let mut pipe = ShardedPipeline::new(PipelineConfig::new(4, 64).with_batch_size(512)).unwrap();
+    pipe.ingest_from(stream.iter().copied()).unwrap();
+    let merged = pipe.merged().unwrap();
+    for mechanism in registry(&spec).unwrap() {
+        let name = mechanism.name();
+        let merged_sound = mechanism.sensitivity_model() == SensitivityModel::MergedOneSided;
+        let mut accountant = Accountant::new(budget);
+        let mut rng = StdRng::seed_from_u64(3);
+        match release_merged_metered(mechanism.as_ref(), &merged, &mut accountant, &mut rng) {
+            Ok(hist) => {
+                assert!(merged_sound, "{name} must have been refused");
+                assert!(hist.estimate(&5) > 10_000.0, "{name}");
+                assert_eq!(accountant.charges(), 1, "{name}");
+            }
+            Err(err) => {
+                assert!(!merged_sound, "{name} must have released: {err}");
+                assert!(
+                    matches!(err, ReleaseError::Unsupported { .. }),
+                    "{name}: {err}"
+                );
+                assert_eq!(accountant.charges(), 0, "{name} was charged");
+            }
+        }
+    }
+    // The sound subset is exactly the two trusted-aggregator routes.
+    let sound: Vec<&str> = registry(&spec)
+        .unwrap()
+        .iter()
+        .filter(|m| m.sensitivity_model() == SensitivityModel::MergedOneSided)
+        .map(|m| m.name())
+        .collect();
+    assert_eq!(sound, vec!["merged-laplace", "gshm"]);
 }
 
 proptest! {
@@ -129,7 +214,7 @@ proptest! {
         prop_assert_eq!(pipe.merged().unwrap(), ref_merged);
     }
 
-    /// Ingesting through the trait in arbitrary chunkings changes nothing.
+    /// Ingesting in arbitrary chunkings changes nothing.
     #[test]
     fn prop_chunking_is_invisible(
         stream in proptest::collection::vec(0u64..12, 0..400),
@@ -137,7 +222,7 @@ proptest! {
     ) {
         let mut a = ShardedPipeline::new(PipelineConfig::new(3, 5).with_batch_size(7)).unwrap();
         for part in stream.chunks(chunk) {
-            a.ingest_batch(part).unwrap();
+            a.ingest_from(part.iter().copied()).unwrap();
         }
         let mut b = ShardedPipeline::new(PipelineConfig::new(3, 5).with_batch_size(7)).unwrap();
         b.ingest_from(stream.iter().copied()).unwrap();

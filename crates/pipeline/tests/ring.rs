@@ -5,7 +5,9 @@
 //! hand the router a block that still aliases live (unconsumed) data.
 
 use dpmg_pipeline::ring;
-use dpmg_pipeline::{Handoff, PipelineConfig, Routing, ShardedPipeline};
+use dpmg_pipeline::{
+    sequential_sharded_reference, shard_of_key, PipelineConfig, Routing, ShardedPipeline,
+};
 use proptest::prelude::*;
 use std::sync::mpsc;
 
@@ -144,7 +146,7 @@ proptest! {
 /// High-contention stress: tiny rings (capacity 1–2), a router that is
 /// faster than the workers, threads genuinely racing. Checks end-to-end
 /// content integrity through the engine, under both tiny forward-ring
-/// capacities, against the mpsc fallback's result on the same stream.
+/// capacities, against the inline sequential reference on the same stream.
 #[test]
 fn tiny_capacity_contention_stress() {
     let stream: Vec<u64> = (0..120_000u64)
@@ -156,27 +158,31 @@ fn tiny_capacity_contention_stress() {
             .with_channel_capacity(capacity);
         let mut ring_pipe = ShardedPipeline::new(config).unwrap();
         ring_pipe.ingest_from(stream.iter().copied()).unwrap();
-        let mut mpsc_pipe = ShardedPipeline::new(config.with_handoff(Handoff::Mpsc)).unwrap();
-        mpsc_pipe.ingest_from(stream.iter().copied()).unwrap();
+        let (ref_summaries, ref_merged) = sequential_sharded_reference(&stream, 4, 32);
         assert_eq!(
             ring_pipe.merged().unwrap(),
-            mpsc_pipe.merged().unwrap(),
-            "handoffs diverged at capacity {capacity}"
+            ref_merged,
+            "ring diverged from the reference at capacity {capacity}"
         );
-        assert_eq!(
-            ring_pipe.stats().shard_stream_lens,
-            mpsc_pipe.stats().shard_stream_lens
-        );
+        assert_eq!(ring_pipe.shard_summaries().unwrap(), &ref_summaries[..]);
+        let mut ref_lens = vec![0u64; 4];
+        for x in &stream {
+            ref_lens[shard_of_key(x, 4)] += 1;
+        }
+        assert_eq!(ring_pipe.stats().shard_stream_lens, ref_lens);
     }
 }
 
-/// The round-robin cursor (wrap-on-compare) must still cycle positions
-/// exactly, and the hoisted `ingest_from` checks must not change results:
-/// both are regression-compared against the per-item `ingest` path.
+/// The hoisted `ingest_from` checks must not change results under either
+/// routing policy: regression-compared against the per-item `ingest` path.
 #[test]
-fn round_robin_and_hoisted_checks_match_per_item_path() {
+fn hoisted_checks_match_per_item_path() {
     let stream: Vec<u64> = (0..10_007u64).map(|i| i % 91).collect();
-    for routing in [Routing::HashKey, Routing::RoundRobin] {
+    let whole_range = Routing::HashKeyRange {
+        total_shards: 3,
+        first_shard: 0,
+    };
+    for routing in [Routing::HashKey, whole_range] {
         let config = PipelineConfig::new(3, 16)
             .with_batch_size(17)
             .with_routing(routing);

@@ -48,9 +48,9 @@
 //! one-sidedly by ≤ 1 on ≤ `k` counters, so the service only admits
 //! `MergedOneSided`-calibrated mechanisms (`gshm`, `merged-laplace`) at
 //! `shards > 1` — and in continual mode at *every* shard count, because
-//! the dyadic tree merges epoch summaries into its level ≥ 1 nodes —
-//! exactly like `PrivatizedPipeline`. Across epochs,
-//! independent mode is basic sequential composition — metered per release;
+//! the dyadic tree merges epoch summaries into its level ≥ 1 nodes — the
+//! rule `dpmg-core`'s `release_merged_metered` enforces for the fleet.
+//! Across epochs, independent mode is basic sequential composition — metered per release;
 //! continual mode is the dyadic-tree argument of `core::continual` —
 //! charged once for the `L`-level composition. Queries are post-processing
 //! of released snapshots and cost nothing.

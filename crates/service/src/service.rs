@@ -104,7 +104,7 @@ impl<K: Item> EpochCore<K> {
         config.validate()?;
         // Merged summaries have the Corollary 18 neighbour structure, so
         // they may only be released by MergedOneSided-calibrated mechanisms
-        // (mirroring PrivatizedPipeline). Epochs are merges at shards > 1;
+        // (the rule of core's release_merged_metered). Epochs are merges at shards > 1;
         // in continual mode the dyadic tree additionally *merges epoch
         // summaries into level ≥ 1 nodes at every shard count*, and in
         // windowed mode every release input is the merge of the window's

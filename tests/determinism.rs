@@ -173,63 +173,59 @@ fn service_matches_sequential_reference_bit_for_bit_at_every_shard_count() {
     };
     for shards in [1usize, 2, 4, 8] {
         for mech_name in ["merged-laplace", "gshm"] {
-            for handoff in [Handoff::Ring, Handoff::Mpsc] {
-                let mechanism = || -> Box<dyn ReleaseMechanism<u64>> {
-                    match mech_name {
-                        "merged-laplace" => Box::new(MergedLaplaceMechanism::new(params).unwrap()),
-                        _ => Box::new(GshmMechanism::new(params).unwrap()),
-                    }
-                };
-                let seed = 0xD1FF ^ shards as u64;
-                let config = ServiceConfig::new(shards, 32)
-                    .with_batch_size(173)
-                    .with_handoff(handoff);
-                let mut svc = DpmgService::new(config, mechanism(), budget, seed).unwrap();
-                let mut oracle =
-                    SequentialServiceReference::new(config, mechanism(), budget, seed).unwrap();
-                for (i, epoch) in epochs.iter().enumerate() {
-                    svc.ingest_from(epoch.iter().copied()).unwrap();
-                    oracle.ingest_from(epoch.iter().copied()).unwrap();
-                    let snap_svc = svc.end_epoch().unwrap();
-                    let snap_ref = oracle.end_epoch().unwrap();
-
-                    // Epoch releases bit-for-bit (pre-noise input AND noisy
-                    // output), via the public transcripts.
-                    let (a, b) = (&svc.transcript()[i], &oracle.transcript()[i]);
-                    assert_eq!(
-                        a.pre_noise, b.pre_noise,
-                        "{mech_name}/{shards} shards, epoch {i}: pre-noise summary diverged"
-                    );
-                    assert_eq!(
-                        hist_bits(&a.histogram),
-                        hist_bits(&b.histogram),
-                        "{mech_name}/{shards} shards, epoch {i}: released histogram diverged"
-                    );
-                    assert_eq!(
-                        a.histogram.threshold().to_bits(),
-                        b.histogram.threshold().to_bits()
-                    );
-                    assert_eq!((a.epoch, a.items), (b.epoch, b.items));
-
-                    // Query answers identical after every epoch.
-                    assert_eq!(snap_svc.epoch, snap_ref.epoch);
-                    assert_eq!(snap_svc.estimates.len(), snap_ref.estimates.len());
-                    for (key, value) in &snap_svc.estimates {
-                        assert_eq!(
-                            value.to_bits(),
-                            snap_ref.estimates[key].to_bits(),
-                            "{mech_name}/{shards} shards, epoch {i}: query for {key} diverged"
-                        );
-                    }
-                    assert_eq!(svc.top_k(8), oracle.top_k(8));
+            let mechanism = || -> Box<dyn ReleaseMechanism<u64>> {
+                match mech_name {
+                    "merged-laplace" => Box::new(MergedLaplaceMechanism::new(params).unwrap()),
+                    _ => Box::new(GshmMechanism::new(params).unwrap()),
                 }
-                // And the budget arithmetic marched in lockstep.
-                assert_eq!(svc.accountant().charges(), oracle.accountant().charges());
+            };
+            let seed = 0xD1FF ^ shards as u64;
+            let config = ServiceConfig::new(shards, 32).with_batch_size(173);
+            let mut svc = DpmgService::new(config, mechanism(), budget, seed).unwrap();
+            let mut oracle =
+                SequentialServiceReference::new(config, mechanism(), budget, seed).unwrap();
+            for (i, epoch) in epochs.iter().enumerate() {
+                svc.ingest_from(epoch.iter().copied()).unwrap();
+                oracle.ingest_from(epoch.iter().copied()).unwrap();
+                let snap_svc = svc.end_epoch().unwrap();
+                let snap_ref = oracle.end_epoch().unwrap();
+
+                // Epoch releases bit-for-bit (pre-noise input AND noisy
+                // output), via the public transcripts.
+                let (a, b) = (&svc.transcript()[i], &oracle.transcript()[i]);
                 assert_eq!(
-                    svc.accountant().remaining_epsilon().to_bits(),
-                    oracle.accountant().remaining_epsilon().to_bits()
+                    a.pre_noise, b.pre_noise,
+                    "{mech_name}/{shards} shards, epoch {i}: pre-noise summary diverged"
                 );
+                assert_eq!(
+                    hist_bits(&a.histogram),
+                    hist_bits(&b.histogram),
+                    "{mech_name}/{shards} shards, epoch {i}: released histogram diverged"
+                );
+                assert_eq!(
+                    a.histogram.threshold().to_bits(),
+                    b.histogram.threshold().to_bits()
+                );
+                assert_eq!((a.epoch, a.items), (b.epoch, b.items));
+
+                // Query answers identical after every epoch.
+                assert_eq!(snap_svc.epoch, snap_ref.epoch);
+                assert_eq!(snap_svc.estimates.len(), snap_ref.estimates.len());
+                for (key, value) in &snap_svc.estimates {
+                    assert_eq!(
+                        value.to_bits(),
+                        snap_ref.estimates[key].to_bits(),
+                        "{mech_name}/{shards} shards, epoch {i}: query for {key} diverged"
+                    );
+                }
+                assert_eq!(svc.top_k(8), oracle.top_k(8));
             }
+            // And the budget arithmetic marched in lockstep.
+            assert_eq!(svc.accountant().charges(), oracle.accountant().charges());
+            assert_eq!(
+                svc.accountant().remaining_epsilon().to_bits(),
+                oracle.accountant().remaining_epsilon().to_bits()
+            );
         }
     }
 }
@@ -523,13 +519,13 @@ fn independent_releases_differ() {
 }
 
 #[test]
-fn windowed_service_matches_reference_bit_for_bit_across_handoffs() {
+fn windowed_service_matches_reference_bit_for_bit() {
     // Windowed mode (W = 2) over a key-churn scenario: the concurrent
-    // service at 1/2/4 shards × {Ring, Mpsc} handoffs against the
-    // single-threaded SequentialServiceReference. Every per-window merged
-    // summary, released histogram, query answer, and budget charge must be
-    // byte-identical — the window ring lives in the shared epoch core, so
-    // any divergence here means the handoff leaked into release order.
+    // service at 1/2/4 shards against the single-threaded
+    // SequentialServiceReference. Every per-window merged summary, released
+    // histogram, query answer, and budget charge must be byte-identical —
+    // the window ring lives in the shared epoch core, so any divergence
+    // here means the threaded ingestion leaked into release order.
     use dp_misra_gries::core::mechanism::MergedLaplaceMechanism;
     use dp_misra_gries::workload::scenarios::Scenario;
 
@@ -553,54 +549,32 @@ fn windowed_service_matches_reference_bit_for_bit_across_handoffs() {
         let mechanism = || -> Box<dyn ReleaseMechanism<u64>> {
             Box::new(MergedLaplaceMechanism::new(params).unwrap())
         };
-        let base = ServiceConfig::new(shards, 32)
+        let config = ServiceConfig::new(shards, 32)
             .with_batch_size(211)
             .with_mode(ServiceMode::Windowed { window_epochs: 2 });
-        let mut oracle = SequentialServiceReference::new(base, mechanism(), budget, seed).unwrap();
-        let mut ring =
-            DpmgService::new(base.with_handoff(Handoff::Ring), mechanism(), budget, seed).unwrap();
-        let mut mpsc =
-            DpmgService::new(base.with_handoff(Handoff::Mpsc), mechanism(), budget, seed).unwrap();
+        let mut oracle =
+            SequentialServiceReference::new(config, mechanism(), budget, seed).unwrap();
+        let mut svc = DpmgService::new(config, mechanism(), budget, seed).unwrap();
         for (i, epoch) in epochs.iter().enumerate() {
             oracle.ingest_from(epoch.iter().copied()).unwrap();
-            ring.ingest_from(epoch.iter().copied()).unwrap();
-            mpsc.ingest_from(epoch.iter().copied()).unwrap();
+            svc.ingest_from(epoch.iter().copied()).unwrap();
             oracle.end_epoch().unwrap();
-            ring.end_epoch().unwrap();
-            mpsc.end_epoch().unwrap();
-            let (o, r, m) = (
-                &oracle.transcript()[i],
-                &ring.transcript()[i],
-                &mpsc.transcript()[i],
-            );
+            svc.end_epoch().unwrap();
+            let (o, r) = (&oracle.transcript()[i], &svc.transcript()[i]);
             assert_eq!(
                 o.pre_noise, r.pre_noise,
-                "{shards} shards, window {i}: Ring merged summary diverged"
-            );
-            assert_eq!(
-                o.pre_noise, m.pre_noise,
-                "{shards} shards, window {i}: Mpsc merged summary diverged"
+                "{shards} shards, window {i}: merged summary diverged"
             );
             assert_eq!(
                 hist_bits(&o.histogram),
                 hist_bits(&r.histogram),
-                "{shards} shards, window {i}: Ring release diverged"
+                "{shards} shards, window {i}: release diverged"
             );
-            assert_eq!(
-                hist_bits(&o.histogram),
-                hist_bits(&m.histogram),
-                "{shards} shards, window {i}: Mpsc release diverged"
-            );
-            assert_eq!(ring.top_k(8), oracle.top_k(8));
-            assert_eq!(mpsc.top_k(8), oracle.top_k(8));
+            assert_eq!(svc.top_k(8), oracle.top_k(8));
         }
-        assert_eq!(ring.accountant().charges(), oracle.accountant().charges());
+        assert_eq!(svc.accountant().charges(), oracle.accountant().charges());
         assert_eq!(
-            ring.accountant().remaining_epsilon().to_bits(),
-            oracle.accountant().remaining_epsilon().to_bits()
-        );
-        assert_eq!(
-            mpsc.accountant().remaining_epsilon().to_bits(),
+            svc.accountant().remaining_epsilon().to_bits(),
             oracle.accountant().remaining_epsilon().to_bits()
         );
     }
