@@ -6,7 +6,14 @@
 //! decoding of query strings, keep-alive (the HTTP/1.1 default) and
 //! `Connection: close`. Deliberately absent: chunked transfer encoding,
 //! `Expect: 100-continue`, pipelining beyond one in-flight request, TLS —
-//! none of which the loopback/bench/test clients need.
+//! none of which the loopback/bench/test clients need. A request whose
+//! body is framed any other way than by exactly one `Content-Length` (any
+//! `Transfer-Encoding` header, or a repeated `Content-Length`) is
+//! malformed: 400, then the connection closes. Reading such a request as
+//! bodiless would leave its body to be parsed as the next request.
+//!
+//! Each [`Response`] goes out as one buffer in one write, so on the
+//! `TCP_NODELAY` socket the head never leaves in a segment of its own.
 //!
 //! Every limit is enforced while reading, so a hostile peer cannot make
 //! the server buffer unboundedly: the request head (line + headers) is
@@ -104,8 +111,8 @@ impl Request {
 /// # Errors
 ///
 /// [`HttpError::Malformed`] on protocol violations (over-long head, bad
-/// request line, header without `:`, invalid `Content-Length`, truncated
-/// body), [`HttpError::BodyTooLarge`] past the `max_body` cap,
+/// request line, header without `:`, invalid or repeated
+/// `Content-Length`, any `Transfer-Encoding`, truncated body), [`HttpError::BodyTooLarge`] past the `max_body` cap,
 /// [`HttpError::Io`] on socket failure.
 pub fn read_request(
     stream: &mut impl BufRead,
@@ -133,11 +140,18 @@ pub fn read_request(
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
+    // A body framed any other way than by one Content-Length would be
+    // read as the next request, so such framing is refused outright.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::Malformed("Transfer-Encoding is not supported"));
+    }
+    let mut lengths = headers.iter().filter(|(k, _)| k == "content-length");
+    let content_length = match (lengths.next(), lengths.next()) {
+        (None, _) => 0,
+        (Some((_, v)), None) => v
             .parse::<usize>()
             .map_err(|_| HttpError::Malformed("invalid Content-Length"))?,
-        None => 0,
+        (Some(_), Some(_)) => return Err(HttpError::Malformed("repeated Content-Length")),
     };
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge {
@@ -324,16 +338,21 @@ impl Response {
     ///
     /// Socket write failure.
     pub fn write_to(&self, stream: &mut impl Write, close: bool) -> std::io::Result<()> {
-        let head = format!(
+        // One buffer, one write: on a TCP_NODELAY socket a separate head
+        // and body would leave as two segments. The head is under 160
+        // bytes.
+        let mut out = Vec::with_capacity(160 + self.body.len());
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len(),
             if close { "close" } else { "keep-alive" },
-        );
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        )?;
+        out.extend_from_slice(&self.body);
+        stream.write_all(&out)?;
         stream.flush()
     }
 }
@@ -405,6 +424,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_transfer_encoding_and_repeated_content_length() {
+        for (raw, why) in [
+            (
+                &b"POST /ingest HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"[..],
+                "Transfer-Encoding is not supported",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nTRANSFER-ENCODING: identity\r\nContent-Length: 2\r\n\r\n{}",
+                "Transfer-Encoding is not supported",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
+                "repeated Content-Length",
+            ),
+            (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: 0\r\ncontent-length: 2\r\n\r\n{}",
+                "repeated Content-Length",
+            ),
+        ] {
+            match parse(raw) {
+                Err(HttpError::Malformed(what)) => assert_eq!(what, why),
+                other => panic!("{:?}: {other:?}", String::from_utf8_lossy(raw)),
+            }
+        }
+    }
+
+    #[test]
     fn truncated_mid_head_is_malformed() {
         assert!(matches!(parse(b"GET /x HT"), Err(HttpError::Malformed(_))));
     }
@@ -440,6 +486,52 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(req.wants_close());
+    }
+
+    /// Records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn response_is_one_write_of_head_then_body() {
+        let metrics = "dpmg_requests_total 3\n".to_string();
+        for (response, close, head) in [
+            (
+                Response::json(200, "{\"accepted\":2,\"epoch\":0}".to_string()),
+                false,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 24\r\nConnection: keep-alive\r\n\r\n",
+            ),
+            (
+                Response::json(413, "{\"status\":413}".to_string()),
+                true,
+                "HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json\r\nContent-Length: 14\r\nConnection: close\r\n\r\n",
+            ),
+            (
+                Response::text(200, metrics),
+                false,
+                "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 22\r\nConnection: keep-alive\r\n\r\n",
+            ),
+        ] {
+            let mut out = CountingWriter::default();
+            response.write_to(&mut out, close).unwrap();
+            assert_eq!(out.writes, 1, "{head}");
+            assert_eq!(out.bytes, [head.as_bytes(), &response.body].concat());
+        }
     }
 
     #[test]

@@ -225,6 +225,34 @@ fn error_mapping_is_exhaustive() {
 }
 
 #[test]
+fn chunked_or_doubly_framed_body_gets_one_400_then_eof() {
+    // Regression: a `Transfer-Encoding: chunked` request (or one with a
+    // second `Content-Length`) used to be read with the wrong body, and
+    // the leftover body bytes were then parsed as a second request, so
+    // the client saw two 400s for one request.
+    let server = start_server(1, 10);
+    for raw in [
+        &b"POST /ingest HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\nd\r\n{\"items\":[1]}\r\n0\r\n\r\n"[..],
+        b"POST /ingest HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 13\r\n\r\n{}{\"items\":[1]}",
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(raw).unwrap();
+        let mut all = Vec::new();
+        stream.read_to_end(&mut all).unwrap();
+        let text = String::from_utf8_lossy(&all);
+        assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
+        assert!(text.contains("Connection: close\r\n"), "{text}");
+        assert_eq!(text.matches("HTTP/1.1 ").count(), 1, "{text}");
+    }
+    let mut probe = Client::connect(server.addr());
+    assert_eq!(probe.get("/healthz").0, 200);
+    server.shutdown();
+}
+
+#[test]
 fn truncated_request_does_not_wedge_the_server() {
     let server = start_server(1, 10);
     let addr = server.addr();
